@@ -16,7 +16,6 @@ entity on a network SAP.  Here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -31,7 +30,7 @@ from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import PeriodicTimer, is_periodic
 from repro.sim.trace import TraceLog
 
 #: Signature of an engine factory, allowing baselines to ride the same hosts:
@@ -271,8 +270,6 @@ class EntityHost(SimProcess):
             self.record("drop", reason="crashed",
                         src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
             return
-        self.record("arrive", kind=type(pdu).__name__,
-                    src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
         if not self.buffer.offer(pdu):
             self.record("drop", reason="overrun",
                         src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
@@ -472,66 +469,55 @@ class Cluster:
         """Advance the simulation by ``duration`` time units."""
         return self.sim.run(until=self.sim.now + duration)
 
-    def run_until_quiescent(self, max_time: float = 60.0, settle_chunks: int = 2) -> float:
+    def run_until_quiescent(self, max_time: float = 60.0) -> float:
         """Run until the protocol has nothing left to do.
 
-        Quiescence = no copies in flight, every host idle, every live
-        engine's logs drained and no open gaps — held across
-        ``settle_chunks`` consecutive chunk boundaries so pending
-        deferred-confirmation timers get their chance to fire.  (Keepalive
-        heartbeats from the membership extension do not block quiescence:
-        with every log drained they carry no information anyone is waiting
-        for.)  Returns the simulated stop time; raises if ``max_time``
-        elapses first (usually a stalled protocol, e.g. strict paper mode
-        on a finite workload).
+        The structural check: no copies in flight, every host idle, every
+        live engine's logs drained and no open gaps.  Quiescence holds
+        when that check and :func:`run_until_quiet`'s pending-event check
+        pass at two consecutive chunk boundaries.  Returns the simulated
+        stop time.  Raises if ``max_time`` elapses first, which usually
+        means a stalled protocol, e.g. strict paper mode on a finite
+        workload.
         """
         chunk = max(
             self.config.deferred_interval,
             self.config.tick_interval,
             self.config.ret_timeout,
         ) * 2 + 2 * self.network.max_delay + 1e-6
-        # Progress = any trace record that is not keepalive chatter.  A
-        # chunk with real progress (submissions, acceptances, recoveries)
-        # resets the quiet streak, so workloads with long scheduled silences
-        # are not mistaken for completion.  Drops are chatter too: a drop of
-        # a *data* PDU always comes with submit/accept records elsewhere,
-        # while keepalives raining on a crashed host drop forever.  Gauge
-        # samples are pure observation and never count as progress.
-        # Periodic anti-entropy digests are keepalives with a payload: a
-        # drained cluster keeps exchanging them forever, so they cannot
-        # count as progress either — the pulls/deltas they *trigger* do.
-        ignored = frozenset({"heartbeat", "broadcast", "arrive", "drop", "gauge", "digest"})
-        # A bounded FlightRecorder sheds old records, so progress is judged
-        # on the *tail*: recorded_total tracks every record ever offered.
-        def total() -> int:
-            return getattr(self.trace, "recorded_total", None) or len(self.trace)
-
-        cursor = total()
-        quiet_streak = 0
-        while self.sim.now < max_time:
-            self.sim.run(until=min(self.sim.now + chunk, max_time))
-            fresh = total() - cursor
-            cursor += fresh
-            if fresh > len(self.trace):
-                # The ring evicted part of the chunk's records: that much
-                # churn is progress by definition.
-                progressed = True
-            else:
-                progressed = any(
-                    rec.category not in ignored
-                    for rec in islice(iter(self.trace),
-                                      len(self.trace) - fresh, None)
-                )
-            if self._quiet() and not progressed:
-                quiet_streak += 1
-                if quiet_streak >= settle_chunks:
-                    return self.sim.now
-            else:
-                quiet_streak = 0
+        if run_until_quiet(self.sim, self._quiet, chunk, max_time):
+            return self.sim.now
         raise TimeoutError(
             f"cluster did not quiesce within {max_time} simulated seconds "
             f"(strict paper mode on a finite workload never does — see DESIGN.md)"
         )
+
+
+def run_until_quiet(
+    sim: Simulator, quiet: Callable[[], bool], chunk: float, max_time: float
+) -> bool:
+    """The quiescence rule shared by flat and sharded clusters (§7).
+
+    Runs ``sim`` in ``chunk``-long steps.  A chunk boundary is quiet when
+    the cluster's structural ``quiet()`` check holds and no live event due
+    by ``max_time`` is queued except periodic timers (host ticks, the
+    bridge failover check).  Scheduled submissions and faults, service
+    completions, copies in flight and bridge retransmit timers all hold
+    the run.  Returns True at the second consecutive quiet boundary, so
+    anything a tick still starts after the first one is seen; False if
+    ``max_time`` comes first.  The event queue is scanned only at chunk
+    boundaries, so the event loop pays nothing for the rule.
+    """
+    streak = 0
+    while sim.now < max_time:
+        sim.run(until=min(sim.now + chunk, max_time))
+        if quiet() and all(is_periodic(e) for e in sim.due_events(max_time)):
+            streak += 1
+            if streak == 2:
+                return True
+        else:
+            streak = 0
+    return False
 
 
 def default_engine_factory(

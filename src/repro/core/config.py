@@ -126,16 +126,6 @@ class ProtocolConfig:
     deferred_interval: float = 2e-3
     #: Re-issue a RET if a detected gap persists this long.
     ret_timeout: float = 4e-3
-    #: Adaptive RET backoff: each fruitless re-request doubles the effective
-    #: retry timeout up to ``ret_timeout * ret_backoff_cap``.  A crashed
-    #: source never answers, so without backoff every survivor re-requests
-    #: at a fixed cadence forever (a periodic REQ storm).  ``1`` disables
-    #: backoff (the paper's fixed cadence).
-    ret_backoff_cap: int = 8
-    #: Deterministic jitter fraction added to backed-off retries (spreads
-    #: survivors' re-requests so they do not synchronize).  Applied only
-    #: from the second retry on; ``0`` disables.
-    ret_backoff_jitter: float = 0.25
     #: A source ignores repeated RETs for the same PDU within this window
     #: (NAK-implosion suppression; several receivers may miss the same PDU).
     ret_suppression_interval: float = 1e-3
@@ -186,18 +176,6 @@ class ProtocolConfig:
     phi_evict: float = 12.0
     #: Sliding-window length (inter-arrival samples kept per peer).
     detector_window: int = 32
-    #: Samples required before phi scoring engages; an unprimed peer is
-    #: judged by the fixed ``suspect_timeout`` fallback.
-    detector_min_samples: int = 4
-    #: Deviation floor as a fraction of the window mean: at steady state
-    #: the variance collapses and any hiccup would score astronomically;
-    #: the floor keeps one lost heartbeat (≈ 2× mean silence) under
-    #: ``phi_suspect``.
-    detector_std_floor: float = 0.3
-    #: Window samples are clamped to this multiple of the current mean so
-    #: a dropped heartbeat cannot poison the learned history (``0``
-    #: disables clamping).
-    detector_sample_clamp: float = 3.0
     #: After an unsuspect, block re-suspecting the same peer for this
     #: long — the hysteresis that stops jittery links from flapping
     #: through repeated suspect/unsuspect cycles into eviction churn.
@@ -212,9 +190,6 @@ class ProtocolConfig:
     #: bytes (``0`` disables the byte cap).  Only meaningful with
     #: ``batch_max_pdus > 1``.
     batch_max_bytes: int = 0
-    #: Flush any open batch on the housekeeping tick, bounding the extra
-    #: latency a batched PDU can incur to one ``tick_interval``.
-    batch_flush_on_tick: bool = True
     #: Anti-entropy repair layer (docs/PROTOCOL.md §15): every this many
     #: seconds, send a compact digest (delivered + receipt frontiers + view
     #: id) to one deterministically-rotated live peer, who answers with a
@@ -235,9 +210,6 @@ class ProtocolConfig:
     #: partial state transfer replacing the full-snapshot path for healed
     #: partitions and stale stragglers (tier-3 escalation).
     delta_sync_threshold: int = 24
-    #: Upper bound on the data PDUs one delta-sync burst may re-send; a
-    #: larger deficit drains across successive digest rounds.
-    delta_sync_max_pdus: int = 128
     #: Dissemination topology (docs/PROTOCOL.md §16): how data frames reach
     #: the other entities.  ``FLOOD`` (default) broadcasts every frame;
     #: ``RING`` circulates frames hop-by-hop around the live members with
@@ -309,14 +281,6 @@ class ProtocolConfig:
                 "batching coalesces the PACK vector into an out-of-band frame "
                 "header, which strict paper mode forbids; choose one"
             )
-        if self.ret_backoff_cap < 1:
-            raise ConfigurationError(
-                f"ret_backoff_cap must be >= 1, got {self.ret_backoff_cap}"
-            )
-        if not 0.0 <= self.ret_backoff_jitter <= 1.0:
-            raise ConfigurationError(
-                f"ret_backoff_jitter must be in [0, 1], got {self.ret_backoff_jitter}"
-            )
         if self.evict_timeout is not None:
             if self.evict_timeout <= 0:
                 raise ConfigurationError(
@@ -348,24 +312,10 @@ class ProtocolConfig:
                 f"need 0 < phi_suspect <= phi_evict, got "
                 f"{self.phi_suspect} / {self.phi_evict}"
             )
-        if self.detector_window < 2:
+        if self.detector_window < 4:
             raise ConfigurationError(
-                f"detector_window must be >= 2, got {self.detector_window}"
-            )
-        if not 2 <= self.detector_min_samples <= self.detector_window:
-            raise ConfigurationError(
-                "detector_min_samples must be between 2 and "
-                f"detector_window, got {self.detector_min_samples}"
-            )
-        if self.detector_std_floor <= 0:
-            raise ConfigurationError(
-                f"detector_std_floor must be positive, got "
-                f"{self.detector_std_floor}"
-            )
-        if self.detector_sample_clamp != 0 and self.detector_sample_clamp < 1:
-            raise ConfigurationError(
-                "detector_sample_clamp must be 0 (off) or >= 1, got "
-                f"{self.detector_sample_clamp}"
+                "detector_window must hold the detector's 4 priming "
+                f"samples, got {self.detector_window}"
             )
         if self.resuspect_cooldown < 0:
             raise ConfigurationError(
@@ -384,7 +334,7 @@ class ProtocolConfig:
                     "which strict paper mode forbids; choose one"
                 )
         for name in ("pull_max_ranges", "pull_after_retries",
-                     "delta_sync_threshold", "delta_sync_max_pdus"):
+                     "delta_sync_threshold"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")

@@ -78,6 +78,18 @@ SendFn = Callable[[Any], None]
 #: individual peers bind one; it is what engages non-flood dissemination.
 UnicastFn = Callable[[int, Any], None]
 
+#: Adaptive RET backoff: each fruitless re-request doubles the retry
+#: timeout up to ``ret_timeout * RET_BACKOFF_CAP``.  A crashed source never
+#: answers, so without backoff every survivor would re-request at a fixed
+#: cadence forever (a periodic REQ storm).
+RET_BACKOFF_CAP = 8
+#: Deterministic jitter fraction added to backed-off retries from the
+#: second retry on, so survivors' re-requests do not synchronize.
+RET_BACKOFF_JITTER = 0.25
+#: Upper bound on the data PDUs one pull answer or delta-sync burst may
+#: re-send; a larger deficit drains across successive digest rounds.
+DELTA_SYNC_MAX_PDUS = 128
+
 
 @dataclass(frozen=True)
 class DeliveredMessage:
@@ -145,7 +157,7 @@ class EntityCounters:
     batched_pdus: int = 0
     #: Batch flushes because the frame reached ``batch_max_pdus``/``_bytes``.
     batch_flush_full: int = 0
-    #: Batch flushes by the housekeeping tick (``batch_flush_on_tick``).
+    #: Batch flushes by the housekeeping tick.
     batch_flush_tick: int = 0
     #: Batch flushes forced because another PDU had to go out first (the
     #: FIFO rule: no sequenced or control PDU overtakes accumulated data).
@@ -285,8 +297,8 @@ class COEntity:
         self.arl: Log[DataPdu] = Log()
         self.gaps = GapTracker(
             n,
-            backoff_cap=config.ret_backoff_cap,
-            backoff_jitter=config.ret_backoff_jitter,
+            backoff_cap=RET_BACKOFF_CAP,
+            backoff_jitter=RET_BACKOFF_JITTER,
             owner=index,
         )
         #: Anti-entropy repair bookkeeping (docs/PROTOCOL.md §15).  Inert
@@ -403,9 +415,6 @@ class COEntity:
                 phi_suspect=config.phi_suspect,
                 phi_evict=config.phi_evict,
                 window=config.detector_window,
-                min_samples=config.detector_min_samples,
-                std_floor=config.detector_std_floor,
-                sample_clamp=config.detector_sample_clamp,
                 resuspect_cooldown=config.resuspect_cooldown,
                 bootstrap_timeout=config.suspect_timeout,
                 start_time=clock(),
@@ -620,7 +629,7 @@ class COEntity:
             self._send_pull(self._pull_target(), escalated, reason="escalate")
         self.counters.ret_retries = self.gaps.total_retries
         self._repair_tick(now)
-        if self._batch and self.config.batch_flush_on_tick:
+        if self._batch:
             # Bound the batching latency to one tick; the flush stamps
             # ``_last_send_time``, so the deferred-confirmation check below
             # stays quiet this round (the frame header is the confirmation).
@@ -1324,14 +1333,14 @@ class COEntity:
 
         Own PDUs come from the sending log (BUF re-stamped, SEQ/ACK
         untouched — they are the causal coordinates); other sources' from
-        the peer store, verbatim.  Bounded to ``delta_sync_max_pdus`` per
+        the peer store, verbatim.  Bounded to ``DELTA_SYNC_MAX_PDUS`` per
         answer, suppressor-gated like RET answers so several stragglers
         pulling the same ranges cannot multiply the rebroadcasts.
         """
         served = 0
         served_bytes = 0
         ranges_served = 0
-        cap = self.config.delta_sync_max_pdus
+        cap = DELTA_SYNC_MAX_PDUS
         for (lsrc, lo, hi) in p.ranges:
             if served >= cap:
                 break
@@ -1394,7 +1403,7 @@ class COEntity:
         """
         sent = 0
         sent_bytes = 0
-        cap = self.config.delta_sync_max_pdus
+        cap = DELTA_SYNC_MAX_PDUS
         for j in range(self.n):
             if sent >= cap:
                 break

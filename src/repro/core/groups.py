@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cluster import Cluster, CpuModel, build_cluster
+from repro.core.cluster import Cluster, CpuModel, build_cluster, run_until_quiet
 from repro.core.config import ProtocolConfig
 from repro.core.entity import DeliveredMessage
 from repro.core.errors import ConfigurationError
@@ -625,18 +625,17 @@ class HierarchicalCluster:
             return False
         return all(bridge.idle for bridge in self.bridges)
 
-    def run_until_quiescent(
-        self, max_time: float = 60.0, settle_chunks: int = 2
-    ) -> float:
+    def run_until_quiescent(self, max_time: float = 60.0) -> float:
         """Run until every group is drained *and* the backbone settles.
 
-        Quiescence = every subgroup quiet (its own structural check), no
+        The structural check: every subgroup quiet (its own check), no
         backbone copies in flight, and every bridge idle (nothing pending,
-        nothing owed, everything forwarded acked) — held over
-        ``settle_chunks`` consecutive chunks so retransmit and deferred
-        timers get their chance to fire.  Note an isolated or fully-dead
-        peer group keeps its senders' bridges non-idle forever: heal the
-        partition (or restart a member) before draining.
+        nothing owed, everything forwarded acked).  Quiescence holds when
+        that check and :func:`~repro.core.cluster.run_until_quiet`'s
+        pending-event check pass at two consecutive chunk boundaries.
+        Note an isolated or fully-dead peer group keeps its senders'
+        bridges non-idle forever: heal the partition (or restart a
+        member) before draining.
         """
         cfg = self.config
         max_delay = max(
@@ -654,15 +653,8 @@ class HierarchicalCluster:
             + 2 * max_delay
             + 1e-6
         )
-        streak = 0
-        while self.sim.now < max_time:
-            self.sim.run(until=min(self.sim.now + chunk, max_time))
-            if self._quiet():
-                streak += 1
-                if streak >= settle_chunks:
-                    return self.sim.now
-            else:
-                streak = 0
+        if run_until_quiet(self.sim, self._quiet, chunk, max_time):
+            return self.sim.now
         raise TimeoutError(
             f"hierarchical cluster did not quiesce within {max_time} "
             f"simulated seconds (an unreachable peer group pins its "

@@ -14,7 +14,7 @@ runs in three tiers:
    fruitless escalate to pulls too.
 3. **Delta sync** — a serving side seeing a deficit of at least
    ``delta_sync_threshold`` PDUs answers with a bounded partial state
-   transfer (up to ``delta_sync_max_pdus`` resident PDUs re-sent), the
+   transfer (up to 128 resident PDUs re-sent), the
    replacement for wholesale snapshots after a partition heals.
 
 This module holds the *decisions* — when a digest is due, which peer gets

@@ -15,7 +15,7 @@ pending events.  Two properties matter for the rest of the repository:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -104,6 +104,17 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events in the heap, including cancelled ones."""
         return len(self._heap)
+
+    def due_events(self, until: float) -> Iterator[EventHandle]:
+        """Live events scheduled at or before ``until``, in heap order.
+
+        A linear scan of the heap, meant for checks at coarse boundaries
+        (see :func:`repro.core.cluster.run_until_quiet`), not per event.
+        """
+        return (
+            handle for handle in self._heap
+            if not handle.cancelled and handle.time <= until
+        )
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -90,3 +90,8 @@ class PeriodicTimer:
             return
         self._handle = self._sim.schedule(self.interval, self._fire)
         self._callback()
+
+
+def is_periodic(handle: EventHandle) -> bool:
+    """True when ``handle`` is a :class:`PeriodicTimer`'s next firing."""
+    return getattr(handle.callback, "__func__", None) is PeriodicTimer._fire

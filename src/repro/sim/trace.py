@@ -27,7 +27,6 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 CATEGORIES = (
     "submit",        # application handed data to the service
     "broadcast",     # a PDU was handed to the network
-    "arrive",        # a PDU reached an entity's receive buffer
     "drop",          # a PDU was lost (buffer overrun or injected loss)
     "accept",        # acceptance action ran (PDU entered RRL)
     "duplicate",     # a retransmitted copy of an already-accepted PDU arrived
@@ -247,8 +246,7 @@ class FlightRecorder(TraceLog):
         self._records.append(TraceRecord(time, category, entity, details))
 
     def __getitem__(self, index: int) -> TraceRecord:
-        # deque indexing is O(n) but supports the TraceLog contract; the
-        # run helpers that index scan forward anyway.
+        # deque indexing is O(n) but supports the TraceLog contract.
         return self._records[index]
 
     def meta(self) -> Dict[str, Any]:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.loss import BernoulliLoss, ScriptedLoss
 from repro.net.network import MCNetwork
-from repro.net.reliable import ReliableNetwork
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -152,7 +151,7 @@ def test_max_delay_exposed():
 
 def test_reliable_network_never_drops():
     sim = Simulator()
-    net = ReliableNetwork(sim, TraceLog(), Topology.uniform(3, 1.0))
+    net = MCNetwork(sim, TraceLog(), Topology.uniform(3, 1.0), loss=None)
     inbox = []
     net.attach(0, lambda p: None)
     net.attach(1, inbox.append)

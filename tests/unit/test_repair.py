@@ -43,7 +43,6 @@ class TestConfigValidation:
         ("pull_max_ranges", 0),
         ("pull_after_retries", 0),
         ("delta_sync_threshold", 0),
-        ("delta_sync_max_pdus", 0),
     ])
     def test_bad_repair_knobs_rejected(self, field, bad):
         with pytest.raises(ConfigurationError):
